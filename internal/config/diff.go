@@ -301,15 +301,17 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 
 // DiffNetwork computes per-device changes across two snapshots of the same
 // network (devices present only in one side are ignored: Heimdall tickets
-// never add or remove devices).
+// never add or remove devices). A device both sides share by pointer — a
+// copy-on-write view the writer never touched — has no changes and is
+// skipped without a diff.
 func DiffNetwork(old, new *netmodel.Network) []Change {
 	var out []Change
 	for _, name := range old.DeviceNames() {
-		nd := new.Devices[name]
-		if nd == nil {
+		od, nd := old.Devices[name], new.Devices[name]
+		if nd == nil || nd == od {
 			continue
 		}
-		out = append(out, DiffDevice(old.Devices[name], nd)...)
+		out = append(out, DiffDevice(od, nd)...)
 	}
 	return out
 }

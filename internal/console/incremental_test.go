@@ -83,3 +83,55 @@ func TestIncrementalSnapshotInvalidate(t *testing.T) {
 		}
 	}
 }
+
+// TestEnvFromBase pins NewEnvFrom: the first read serves the supplied
+// snapshot itself, classified writes on a copy-on-write view derive from
+// it to a snapshot matching a fresh compute, and Invalidate drops it for
+// good, so a read after an out-of-band mutation recomputes instead of
+// falling back to the now stale base.
+func TestEnvFromBase(t *testing.T) {
+	orig := testNet()
+	base := dataplane.Compute(orig)
+	calls := 0
+	baseFn := func() *dataplane.Snapshot { calls++; return base }
+
+	requireFresh := func(env *Env, n *netmodel.Network, after string) {
+		t.Helper()
+		got, want := env.Snapshot(), dataplane.Compute(n)
+		for dev := range n.Devices {
+			if g, w := got.FormatRIB(dev), want.FormatRIB(dev); g != w {
+				t.Fatalf("after %s: %s RIB diverged from fresh compute:\n%s\nwant:\n%s", after, dev, g, w)
+			}
+		}
+	}
+
+	n := orig.CloneCOW("r1")
+	env := NewEnvFrom(n, baseFn)
+	env.EnableIncremental()
+	if env.Snapshot() != base {
+		t.Fatal("first read did not serve the base snapshot")
+	}
+	if _, err := New("r1", env).Run("ip route 192.168.0.0 255.255.0.0 10.2.0.10"); err != nil {
+		t.Fatal(err)
+	}
+	requireFresh(env, n, "a classified write")
+
+	// A write before any read still derives from the base.
+	n2 := orig.CloneCOW("r1")
+	env2 := NewEnvFrom(n2, baseFn)
+	env2.EnableIncremental()
+	if _, err := New("r1", env2).Run("interface Gi0/1 shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	requireFresh(env2, n2, "a write before the first read")
+
+	n3 := orig.CloneCOW("r1")
+	env3 := NewEnvFrom(n3, baseFn)
+	env3.EnableIncremental()
+	n3.Device("r1").Interface("Gi0/1").Shutdown = true
+	env3.Invalidate()
+	requireFresh(env3, n3, "Invalidate")
+	if calls != 2 {
+		t.Fatalf("base snapshot requested %d times, want 2", calls)
+	}
+}

@@ -150,11 +150,22 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 // snapshot derives from the previous one (dataplane.Derive) instead of
 // recomputing from scratch; writes the console cannot classify still
 // invalidate fully.
-func NewEnv(n *netmodel.Network) *Env {
+func NewEnv(n *netmodel.Network) *Env { return NewEnvFrom(n, nil) }
+
+// NewEnvFrom is NewEnv for a network whose current state another party
+// has already described: base, when non-nil, returns the snapshot of n as
+// it is now (typically shared, and computed once, by every copy-on-write
+// view of one network). The first read uses it instead of computing, and
+// classified writes derive from it. An unclassified write or Invalidate
+// drops it for good, since n no longer matches it.
+func NewEnvFrom(n *netmodel.Network, base func() *dataplane.Snapshot) *Env {
 	var snap *dataplane.Snapshot
 	var pending dataplane.ChangeSet
 	env := &Env{Net: n}
 	env.Snapshot = func() *dataplane.Snapshot {
+		if snap == nil && base != nil {
+			snap = base()
+		}
 		if snap != nil && len(pending) > 0 {
 			snap = snap.Derive(n, pending)
 			pending = nil
@@ -165,10 +176,10 @@ func NewEnv(n *netmodel.Network) *Env {
 		}
 		return snap
 	}
-	env.Invalidate = func() { snap, pending = nil, nil }
+	env.Invalidate = func() { snap, pending, base = nil, nil, nil }
 	env.noteChange = func(device string, kind dataplane.ChangeKind) {
-		if snap == nil {
-			// Nothing cached: the next read computes fresh anyway.
+		if snap == nil && base == nil {
+			// Nothing to derive from: the next read computes fresh anyway.
 			return
 		}
 		pending = append(pending, dataplane.Change{Device: device, Kind: kind})

@@ -71,6 +71,12 @@ type System struct {
 	prodMu sync.RWMutex
 	// prodConsoleEnv backs emergency-mode consoles (lazily built).
 	prodConsoleEnv *console.Env
+
+	// baseMu guards base, the sanitized twin base shared by every
+	// engagement started at production version baseVersion (see twinBase).
+	baseMu      sync.Mutex
+	base        *twin.Base
+	baseVersion uint64
 }
 
 // NewSystem builds a deployment around a production network.
@@ -177,8 +183,10 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 
 	s.prodMu.RLock()
 	defer s.prodMu.RUnlock()
-	snap := dataplane.Compute(s.production)
-	slice := twin.ComputeSlice(s.production, snap, s.strategy, tk.SrcHost, tk.DstHost, tk.Suspects)
+	// The base differs from production only in redacted secrets, which
+	// no forwarding decision reads, so its snapshot serves the slice too.
+	base := s.twinBase()
+	slice := twin.ComputeSlice(base.Network(), base.Snapshot(), s.strategy, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string
 	for dev := range slice {
@@ -202,7 +210,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	tw, err := twin.New(twin.Config{
 		Ticket:     tk.ID,
 		Technician: technician,
-		Production: s.production,
+		Base:       base,
 		Spec:       pspec,
 		Slice:      slice,
 		Trail:      s.Enforcer.Trail(),
@@ -212,6 +220,24 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 		return nil, err
 	}
 	return &Engagement{sys: s, Ticket: tk, Spec: pspec, Twin: tw, Slice: slice}, nil
+}
+
+// twinBase returns the twin base for production as it is now; the caller
+// holds prodMu. Engagements started at one production version share one
+// base, built on first use, never at onboarding. Reuse is sound only while
+// the enforcer sees every production mutation bump its version; otherwise
+// each call builds a private base.
+func (s *System) twinBase() *twin.Base {
+	v, tracked := s.Enforcer.ProductionVersion()
+	if !tracked {
+		return twin.NewBase(s.production)
+	}
+	s.baseMu.Lock()
+	defer s.baseMu.Unlock()
+	if s.base == nil || s.baseVersion != v {
+		s.base, s.baseVersion = twin.NewBase(s.production), v
+	}
+	return s.base
 }
 
 // Console opens a mediated console on a twin device.

@@ -65,11 +65,19 @@ func (c *flowCache) lookup(k flowKey) (*flowResult, bool) {
 // store memoizes a freshly computed result and returns the canonical
 // entry: when two goroutines race on the same key, the first stored copy
 // wins and both callers observe it (results are deterministic, so either
-// copy is identical in content).
+// copy is identical in content). Only the winner counts a miss; a loser is
+// served the cached entry and counts a hit, so misses equal the distinct
+// flows cached however many callers race on one key — the common case
+// now that twins share their first snapshot.
 func (c *flowCache) store(k flowKey, r *flowResult) *flowResult {
-	c.misses.Add(1)
-	c.missCtr.Inc()
-	v, _ := c.m.LoadOrStore(k, r)
+	v, loaded := c.m.LoadOrStore(k, r)
+	if loaded {
+		c.hits.Add(1)
+		c.hitCtr.Inc()
+	} else {
+		c.misses.Add(1)
+		c.missCtr.Inc()
+	}
 	return v.(*flowResult)
 }
 
@@ -79,7 +87,7 @@ func (c *flowCache) stats() (hits, misses uint64) {
 }
 
 // FlowCacheStats returns how many Reach calls this snapshot served from
-// its memoized flow cache (hits) versus traced from scratch (misses).
+// its memoized flow cache (hits) versus traced into it (misses).
 func (s *Snapshot) FlowCacheStats() (hits, misses uint64) {
 	return s.flows.stats()
 }

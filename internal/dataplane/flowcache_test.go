@@ -156,3 +156,54 @@ func TestFlowCacheMeterExposition(t *testing.T) {
 		t.Errorf("exposition missing flowcache series:\n%s", dump)
 	}
 }
+
+// TestFormatRIBMemoMatchesFresh pins the FormatRIB memo: every device's
+// memoized text — first call and repeat — equals an unmemoized rendering
+// and the rendering of an independently computed snapshot, including the
+// placeholder for a device without a routing table.
+func TestFormatRIBMemoMatchesFresh(t *testing.T) {
+	n := blockWebNet()
+	s, fresh := Compute(n), Compute(n)
+	for _, dev := range append(n.DeviceNames(), "no-such-device") {
+		for round := 0; round < 2; round++ {
+			if got, want := s.FormatRIB(dev), s.formatRIB(dev); got != want {
+				t.Fatalf("%s round %d: memoized RIB\n%s\nwant\n%s", dev, round, got, want)
+			}
+		}
+		if got, want := s.FormatRIB(dev), fresh.formatRIB(dev); got != want {
+			t.Fatalf("%s: memoized RIB\n%s\ndiffers from a fresh snapshot's\n%s", dev, got, want)
+		}
+	}
+}
+
+// TestFormatRIBConcurrent calls FormatRIB from many goroutines on one
+// snapshot, as the twins sharing a base snapshot do; run it under -race.
+func TestFormatRIBConcurrent(t *testing.T) {
+	n := blockWebNet()
+	s := Compute(n)
+	devs := n.DeviceNames()
+	want := make(map[string]string, len(devs))
+	for _, dev := range devs {
+		want[dev] = s.formatRIB(dev)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				dev := devs[(g+i)%len(devs)]
+				if got := s.FormatRIB(dev); got != want[dev] {
+					errs <- dev + ": concurrent FormatRIB diverged"
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

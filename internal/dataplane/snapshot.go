@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+	"sync"
 
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -71,6 +72,10 @@ type Snapshot struct {
 	lsdb *ospfLSDB
 	// flows memoizes Reach results (per snapshot, concurrency-safe).
 	flows *flowCache
+	// ribText memoizes FormatRIB per device (device -> string). It reads
+	// only ribs, which never change, and twins opened on one production
+	// version share their first snapshot, so one format serves them all.
+	ribText sync.Map
 }
 
 // Compute builds a snapshot of the network's forwarding behaviour with
@@ -568,8 +573,19 @@ func (s *Snapshot) FormatBGP(device string) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// FormatRIB renders a device routing table like "show ip route".
+// FormatRIB renders a device routing table like "show ip route". The
+// text is memoized per device; FormatRIB is safe for concurrent use.
 func (s *Snapshot) FormatRIB(device string) string {
+	if v, ok := s.ribText.Load(device); ok {
+		return v.(string)
+	}
+	out := s.formatRIB(device)
+	s.ribText.Store(device, out)
+	return out
+}
+
+// formatRIB is the unmemoized rendering behind FormatRIB.
+func (s *Snapshot) formatRIB(device string) string {
 	rib := s.ribs[device]
 	if rib == nil {
 		return "% no routing table"

@@ -115,6 +115,16 @@ func (e *Enforcer) InvalidateReviews() {
 	}
 }
 
+// ProductionVersion returns the production-mutation counter folded into
+// every review key. tracked reports whether the counter can be trusted to
+// change on every production mutation: that holds exactly when the review
+// cache is enabled, whose precondition is that every mutation goes
+// through the commit pipeline or InvalidateReviews. Caches keyed on the
+// version (the shared twin base) must not be reused when tracked is false.
+func (e *Enforcer) ProductionVersion() (v uint64, tracked bool) {
+	return e.prodVersion.Load(), e.reviews.Load() != nil
+}
+
 // ReviewKey returns the content address a review of (changes, spec) would
 // occupy right now: production version, privilege-rules digest, canonical
 // change-set digest. Two calls return the same key exactly when the

@@ -137,12 +137,18 @@ func (n *Network) Neighbors(device string) []string {
 	return out
 }
 
-// Clone returns a deep copy of the network. Twin networks are built from
-// clones so technician changes never touch production state.
-func (n *Network) Clone() *Network {
+// Clone returns a deep copy of the network, so changes to the copy never
+// touch the original.
+func (n *Network) Clone() *Network { return n.CloneWith((*Device).Clone) }
+
+// CloneWith is Clone with a caller-supplied device copy: every device is
+// replaced by clone(d), which must return a fresh *Device; links are
+// copied as in Clone. The twin builds its sanitized base this way, in one
+// pass instead of a deep copy followed by a redacting copy.
+func (n *Network) CloneWith(clone func(*Device) *Device) *Network {
 	c := NewNetwork(n.Name)
 	for name, d := range n.Devices {
-		c.Devices[name] = d.Clone()
+		c.Devices[name] = clone(d)
 	}
 	c.Links = make([]*Link, len(n.Links))
 	for i, l := range n.Links {

@@ -146,8 +146,9 @@ func TestSessionDoubleClose(t *testing.T) {
 }
 
 // TestEndedSessionReleasedAndReaped pins the memory lifecycle: ending a
-// session drops its engagement (a full twin copy of the tenant network)
-// immediately, the session stays addressable for one idle period so
+// session drops its engagement (its twin's private device copies, console
+// cache and derived snapshots) immediately, the session stays addressable
+// for one idle period so
 // clients can observe the terminal state, and the next sweep after that
 // grace window forgets it entirely.
 func TestEndedSessionReleasedAndReaped(t *testing.T) {

@@ -86,9 +86,10 @@ type Session struct {
 
 // Engagement exposes the underlying core engagement (the load generator
 // and tests reach through it for the twin and privilege spec). It is nil
-// once the session has expired or closed: the engagement — a full twin
-// copy of the tenant network — is released at end-of-life so a
-// long-running daemon's memory tracks live sessions, not historic ones.
+// once the session has expired or closed: the engagement — the twin's
+// private device copies and derived snapshots — is released at end-of-life
+// so a long-running daemon's memory tracks live sessions, not historic
+// ones.
 func (s *Session) Engagement() *core.Engagement {
 	s.mu.Lock()
 	defer s.mu.Unlock()

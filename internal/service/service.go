@@ -465,9 +465,11 @@ func (s *Service) expireLocked(sess *Session, now time.Time) {
 	releaseLocked(sess)
 }
 
-// releaseLocked drops the session's engagement (a full twin copy of the
-// tenant network) and console cache once the session can no longer run
-// commands, so ended sessions cost a map entry, not a network copy.
+// releaseLocked drops the session's engagement (its twin's private copies
+// of the devices it wrote, its derived snapshots) and console cache once
+// the session can no longer run commands, so ended sessions cost a map
+// entry. The tenant's shared twin base outlives them until production
+// changes.
 func releaseLocked(sess *Session) {
 	sess.eng = nil
 	sess.consoles = nil

@@ -4,9 +4,11 @@
 //
 // The twin decouples the traditional monolithic emulator into:
 //
-//   - an emulation layer: a full-fidelity, sanitized clone of every device,
+//   - an emulation layer: a full-fidelity, sanitized image of every device,
 //     so faults reproduce exactly (security comes from mediation, not from
-//     omitting devices that might be the root cause);
+//     omitting devices that might be the root cause). Twins opened on the
+//     same production version share one sanitized Base and its snapshot;
+//     each twin copies a device only when a technician first writes it;
 //   - a presentation layer: the topology view and consoles exposed to the
 //     technician, restricted to a task-driven slice of devices relevant to
 //     the ticket;
@@ -37,7 +39,11 @@ type Config struct {
 	Ticket     string
 	Technician string
 	// Production is the network being mimicked; the twin never mutates it.
+	// It is ignored when Base is set.
 	Production *netmodel.Network
+	// Base, when set, is the shared sanitized image of production the
+	// twin starts from (see NewBase). When nil, New builds a private one.
+	Base *Base
 	// Spec is the ticket's Privilegemsp enforced by the reference monitor.
 	Spec *privilege.Spec
 	// Slice is the set of devices visible in the presentation layer.
@@ -62,8 +68,8 @@ type Twin struct {
 	// may extend a ticket's privileges by appending rules (the core engine
 	// does), so the cache is keyed by rule count and rebuilt when it grows.
 	compiled atomic.Pointer[compiledSpec]
-	baseline *netmodel.Network // sanitized clone kept pristine for diffing
-	emul     *netmodel.Network // the mutable emulation layer
+	base     *Base             // shared sanitized image, never written
+	emul     *netmodel.Network // copy-on-write view of base.net
 	slice    map[string]bool   // nil means every device is visible
 	env      *console.Env
 	trail    *audit.Trail
@@ -78,19 +84,47 @@ type Twin struct {
 	mu sync.Mutex
 }
 
-// New builds the twin: the emulation layer is a sanitized deep copy of
-// production (secrets redacted), and a second pristine copy is retained as
-// the diff baseline.
+// Base is a sanitized image of one production version (secrets redacted)
+// together with its lazily computed dataplane snapshot. Any number of
+// twins may share one Base: none of them ever writes its network, so the
+// image doubles as every twin's diff baseline and its snapshot as every
+// twin's first snapshot.
+type Base struct {
+	net  *netmodel.Network
+	once sync.Once
+	snap *dataplane.Snapshot
+}
+
+// NewBase builds the sanitized image of production. The caller must keep
+// production from changing during the call; later changes to production
+// do not show in the base.
+func NewBase(production *netmodel.Network) *Base {
+	return &Base{net: production.CloneWith(config.Sanitize)}
+}
+
+// Network returns the sanitized image. It is shared: treat it as
+// read-only.
+func (b *Base) Network() *netmodel.Network { return b.net }
+
+// Snapshot returns the image's dataplane snapshot, computed on first use.
+func (b *Base) Snapshot() *dataplane.Snapshot {
+	b.once.Do(func() { b.snap = dataplane.Compute(b.net) })
+	return b.snap
+}
+
+// New builds the twin. Its emulation layer is a copy-on-write view of the
+// base: every device is shared with the base until a technician's first
+// write to it, which gives the twin a private copy of that device alone.
 func New(cfg Config) (*Twin, error) {
-	if cfg.Production == nil {
-		return nil, fmt.Errorf("twin: nil production network")
+	base := cfg.Base
+	if base == nil {
+		if cfg.Production == nil {
+			return nil, fmt.Errorf("twin: nil production network")
+		}
+		base = NewBase(cfg.Production)
 	}
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
-	}
-	sanitized := cfg.Production.Clone()
-	for name, d := range sanitized.Devices {
-		sanitized.Devices[name] = config.Sanitize(d)
 	}
 	meter := cfg.Meter
 	if meter == nil {
@@ -100,24 +134,25 @@ func New(cfg Config) (*Twin, error) {
 		ticket:     cfg.Ticket,
 		technician: cfg.Technician,
 		spec:       cfg.Spec,
-		baseline:   sanitized,
-		emul:       sanitized.Clone(),
+		base:       base,
+		emul:       base.net.CloneCOW(),
 		slice:      cfg.Slice,
 		trail:      cfg.Trail,
 		meter:      meter,
 	}
-	tw.env = console.NewEnv(tw.emul)
+	tw.env = console.NewEnvFrom(tw.emul, base.Snapshot)
 	// Technician consoles are the emulation layer's only writers (Exec
 	// serializes under tw.mu), so post-write snapshots can derive
-	// incrementally from the previous one instead of recomputing the
-	// dataplane from scratch — the dominant cost of diagnosis scripts
-	// that alternate fixes with reachability checks.
+	// incrementally from the previous one — at first the base's shared
+	// snapshot — instead of recomputing the dataplane from scratch, the
+	// dominant cost of diagnosis scripts that alternate fixes with
+	// reachability checks.
 	tw.env.EnableIncremental()
 	if cfg.Meter != nil {
 		tw.env.Meter = cfg.Meter
 	}
 	tw.log(audit.KindSession, fmt.Sprintf("twin created (%d devices, %d visible)",
-		len(tw.emul.Devices), len(tw.VisibleDevices())), true)
+		len(base.net.Devices), len(tw.VisibleDevices())), true)
 	return tw, nil
 }
 
@@ -129,14 +164,16 @@ func (tw *Twin) log(kind audit.Kind, detail string, allowed bool) {
 }
 
 // VisibleDevices returns the presentation-layer topology: the devices the
-// technician can see and open consoles on, sorted.
+// technician can see and open consoles on, sorted. It reads the base's
+// device map, which has the same names as the emulation layer's and,
+// unlike it, is never written, so no lock is needed.
 func (tw *Twin) VisibleDevices() []string {
 	if tw.slice == nil {
-		return tw.emul.DeviceNames()
+		return tw.base.net.DeviceNames()
 	}
 	var out []string
 	for name := range tw.slice {
-		if tw.emul.Devices[name] != nil {
+		if tw.base.net.Devices[name] != nil {
 			out = append(out, name)
 		}
 	}
@@ -147,17 +184,19 @@ func (tw *Twin) VisibleDevices() []string {
 // Visible reports whether a device is inside the presentation slice.
 func (tw *Twin) Visible(device string) bool {
 	if tw.slice == nil {
-		return tw.emul.Devices[device] != nil
+		return tw.base.net.Devices[device] != nil
 	}
-	return tw.slice[device] && tw.emul.Devices[device] != nil
+	return tw.slice[device] && tw.base.net.Devices[device] != nil
 }
 
 // Network exposes the emulation layer, used by the enforcer for diffing
-// and by tests; technicians only ever interact through sessions.
+// and by tests; technicians only ever interact through sessions. Devices
+// the twin has not written are shared with the base: read-only.
 func (tw *Twin) Network() *netmodel.Network { return tw.emul }
 
-// Baseline returns the pristine sanitized copy the twin started from.
-func (tw *Twin) Baseline() *netmodel.Network { return tw.baseline }
+// Baseline returns the sanitized image the twin started from. It is
+// shared with every twin on the same base: read-only.
+func (tw *Twin) Baseline() *netmodel.Network { return tw.base.net }
 
 // Snapshot returns the twin's current dataplane snapshot.
 func (tw *Twin) Snapshot() *dataplane.Snapshot {
@@ -168,10 +207,11 @@ func (tw *Twin) Snapshot() *dataplane.Snapshot {
 
 // Changes computes the semantic configuration diff between the twin's
 // baseline and its current state: exactly what the technician changed.
+// Devices still shared with the base are skipped without a diff.
 func (tw *Twin) Changes() []config.Change {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	return config.DiffNetwork(tw.baseline, tw.emul)
+	return config.DiffNetwork(tw.base.net, tw.emul)
 }
 
 // Session is a mediated console on one visible device.
@@ -254,6 +294,14 @@ func (s *Session) Exec(line string) (string, error) {
 	// Mediation latency is the monitor's own cost: parse + privilege
 	// check + audit, before the command touches the emulation layer.
 	tw.observeMediation(start)
+	if cmd.Write {
+		// Copy on write: every console write touches only its own
+		// device, so a private copy of that one device keeps the base
+		// and every sibling twin untouched.
+		if d := tw.emul.Devices[cmd.Device]; d != nil && d == tw.base.net.Devices[cmd.Device] {
+			tw.emul.Devices[cmd.Device] = d.Clone()
+		}
+	}
 	out, err := s.con.Execute(cmd)
 	tw.meter.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(start))
