@@ -23,6 +23,7 @@ import (
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
+	"heimdall/internal/scenarios/generate"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
 	"heimdall/internal/twin"
@@ -405,6 +406,136 @@ func BenchmarkDerive(b *testing.B) {
 			snap.Derive(trial, dataplane.ChangeSet{{Device: "r2", Kind: dataplane.ChangeL3Topology}})
 		}
 	})
+}
+
+// scaleTier is one generated topology of BenchmarkScaleTiers and its
+// derive mutations.
+type scaleTier struct {
+	name  string
+	build func() *scenarios.Scenario
+	// l3dev/l3if is the ChangeL3Topology mutation (link shutdown); on the
+	// hierarchical topologies it is a redundant backbone/parallel link, so
+	// the per-area fingerprints localize the recompute.
+	l3dev, l3if string
+	// ospfDev/ospfIf takes an OSPF cost bump (ChangeOSPF).
+	ospfDev, ospfIf string
+	// sweepCap bounds the fault cases the sweep evaluates; pairBudget
+	// bounds the fault enumeration's host-pair walk (0 = all pairs), since
+	// the k=16 tier's 1024 hosts make the unbounded quadratic walk minutes
+	// long.
+	sweepCap, pairBudget int
+}
+
+// BenchmarkScaleTiers measures the generated-topology tiers (fat-tree
+// datacenters, ISP backbone, multi-site WAN): one full compute, a deep
+// Clone+Compute after a link shutdown, the same shutdown and an OSPF cost
+// bump through Derive, and a bounded serial sweep of all three techniques
+// at mutation budget 4. Each tier is generated once, outside the timers.
+func BenchmarkScaleTiers(b *testing.B) {
+	tiers := []scaleTier{
+		{
+			name:  "fattree-k4",
+			build: func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 4}) },
+			l3dev: "c0-0", l3if: "Gi0/0", ospfDev: "c0-0", ospfIf: "Gi0/1",
+			sweepCap: 12,
+		},
+		{
+			name:  "fattree-k8",
+			build: func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 8}) },
+			l3dev: "c0-0", l3if: "Gi0/0", ospfDev: "c0-0", ospfIf: "Gi0/1",
+			sweepCap: 12,
+		},
+		{
+			// 320 devices and 1024 hosts: a stride-sampled fault walk and a
+			// four-case sweep keep the tier affordable.
+			name:  "fattree-k16",
+			build: func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 16}) },
+			l3dev: "c0-0", l3if: "Gi0/0", ospfDev: "c0-0", ospfIf: "Gi0/1",
+			sweepCap: 4, pairBudget: 4096,
+		},
+		{
+			name:  "isp",
+			build: func() *scenarios.Scenario { return generate.ISP(generate.ISPParams{}) },
+			// The customer edge runs BGP only, so its host-port shutdown
+			// leaves the OSPF LSDB untouched: the common customer work
+			// order that the derive path should make nearly free.
+			l3dev: "ce00", l3if: "Gi0/1", ospfDev: "p0", ospfIf: "Gi0/0",
+			sweepCap: 12,
+		},
+		{
+			name:  "wan",
+			build: func() *scenarios.Scenario { return generate.WAN(generate.WANParams{}) },
+			// One of site 1's parallel router-pair links: no distance or ABR
+			// summary changes, so every other area derives by identity.
+			l3dev: "sr1-0", l3if: "Gi0/2", ospfDev: "sr1-0", ospfIf: "Gi0/2",
+			sweepCap: 12,
+		},
+	}
+	for _, tier := range tiers {
+		b.Run(tier.name, func(b *testing.B) {
+			scen := tier.build()
+			base := scen.Network
+			snap := dataplane.Compute(base)
+			shutdown := func(n *netmodel.Network) {
+				n.Devices[tier.l3dev].Interfaces[tier.l3if].Shutdown = true
+			}
+
+			b.Run("compute", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dataplane.Compute(base)
+				}
+				b.ReportMetric(float64(len(base.RoutersAndSwitches())), "devices")
+				b.ReportMetric(float64(len(base.Hosts())), "hosts")
+				b.ReportMetric(float64(len(base.Links)), "links")
+				b.ReportMetric(float64(len(scen.Policies)), "policies")
+			})
+			b.Run("full-compute", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					trial := base.Clone()
+					shutdown(trial)
+					dataplane.Compute(trial)
+				}
+			})
+			b.Run("derive-l3topo", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					trial := base.CloneCOW(tier.l3dev)
+					shutdown(trial)
+					snap.Derive(trial, dataplane.ChangeSet{{Device: tier.l3dev, Kind: dataplane.ChangeL3Topology}})
+				}
+			})
+			b.Run("derive-ospf", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					trial := base.CloneCOW(tier.ospfDev)
+					trial.Devices[tier.ospfDev].Interfaces[tier.ospfIf].OSPFCost = 7
+					snap.Derive(trial, dataplane.ChangeSet{{Device: tier.ospfDev, Kind: dataplane.ChangeOSPF}})
+				}
+			})
+			b.Run("sweep", func(b *testing.B) {
+				cases := attacksurface.InterfaceFaultsBudget(base, snap, tier.pairBudget)
+				total := len(cases)
+				if len(cases) > tier.sweepCap {
+					cases = cases[:tier.sweepCap]
+				}
+				for i := 0; i < b.N; i++ {
+					// A fresh evaluator per pass, so no pass reuses an
+					// earlier pass's SPF memo; its base snapshot is built
+					// outside the timer.
+					b.StopTimer()
+					ev := &attacksurface.Evaluator{
+						Base: base, Policies: scen.Policies, Sensitive: scen.Sensitive,
+						MutationBudget: 4, Workers: 1,
+					}
+					ev.BaseSnapshot()
+					b.StartTimer()
+					for _, tech := range []attacksurface.Technique{attacksurface.All, attacksurface.Neighbor, attacksurface.Heimdall} {
+						ev.Evaluate(tech, cases)
+					}
+				}
+				b.ReportMetric(float64(len(cases)), "cases")
+				b.ReportMetric(float64(total), "cases-enumerated")
+			})
+		})
+	}
 }
 
 // BenchmarkEndToEndWorkflow measures one full ticket lifecycle (system

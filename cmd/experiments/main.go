@@ -6,9 +6,6 @@
 //	experiments -fig9          # Figure 9: university trade-off
 //	experiments -verifycost    # §4.3 verification-cost anchor
 //	experiments -chaos N       # N seeded fault schedules vs the pipeline
-//	experiments -bench-json P  # write the performance trajectory to P
-//	experiments -service-load  # multi-tenant service load generator
-//	experiments -scale-tiers   # generated-topology scale tiers only
 //	experiments -all           # everything
 //
 // Use -budget to bound the Figure 8/9 mutation search per sample (0 = the
@@ -17,6 +14,10 @@
 // count). With -telemetry, -fig7 also
 // exports the pilot-study runs as span JSONL (one span per modeled
 // workflow step, on a deterministic virtual clock) to the -spans file.
+//
+// Performance is measured elsewhere: `go test -bench` for single layers
+// (including BenchmarkScaleTiers for the generated topologies) and
+// `bash heimdallbench/run.sh` for the heimdalld daemon over HTTP.
 package main
 
 import (
@@ -30,34 +31,27 @@ import (
 	"heimdall/internal/experiments"
 	"heimdall/internal/latency"
 	"heimdall/internal/scenarios"
-	"heimdall/internal/service"
 )
 
 func main() {
 	log.SetFlags(0)
 	var (
-		table1      = flag.Bool("table1", false, "regenerate Table 1")
-		fig7        = flag.Bool("fig7", false, "regenerate Figure 7 (pilot study)")
-		fig8        = flag.Bool("fig8", false, "regenerate Figure 8 (enterprise)")
-		fig9        = flag.Bool("fig9", false, "regenerate Figure 9 (university)")
-		verifyCost  = flag.Bool("verifycost", false, "measure the verification-cost anchor")
-		chaos       = flag.Int("chaos", 0, "run N seeded fault schedules against the commit pipeline")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "first seed of the -chaos sweep")
-		repChaos    = flag.Bool("replica-chaos", false, "run the replication chaos deck against the replicated enforcer")
-		all         = flag.Bool("all", false, "run every experiment")
-		budget      = flag.Int("budget", 0, "mutation budget per sample for fig8/fig9 (0 = full search)")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for the fig8/fig9 sweep (1 = serial; results identical)")
-		telem       = flag.Bool("telemetry", false, "with -fig7: export pilot-study spans as JSONL")
-		spansPath   = flag.String("spans", "fig7_spans.jsonl", "span JSONL output path for -telemetry")
-		benchJSON   = flag.String("bench-json", "", "measure the performance trajectory and write it as JSON to the given path")
-		svcLoad     = flag.Bool("service-load", false, "run the multi-tenant service load generator")
-		svcTenants  = flag.Int("service-tenants", 0, "tenants for -service-load (0 = the 50-tenant acceptance scale)")
-		svcPer      = flag.Int("service-sessions", 0, "concurrent sessions per tenant for -service-load (0 = 20)")
-		svcQueueP50 = flag.Float64("assert-queue-p50", 0, "with -service-load: exit non-zero when verify-queue wait p50 exceeds this many milliseconds (0 = no assertion)")
-		scaleTiers  = flag.Bool("scale-tiers", false, "measure the generated-topology scale tiers (also part of -bench-json)")
+		table1     = flag.Bool("table1", false, "regenerate Table 1")
+		fig7       = flag.Bool("fig7", false, "regenerate Figure 7 (pilot study)")
+		fig8       = flag.Bool("fig8", false, "regenerate Figure 8 (enterprise)")
+		fig9       = flag.Bool("fig9", false, "regenerate Figure 9 (university)")
+		verifyCost = flag.Bool("verifycost", false, "measure the verification-cost anchor")
+		chaos      = flag.Int("chaos", 0, "run N seeded fault schedules against the commit pipeline")
+		chaosSeed  = flag.Int64("chaos-seed", 1, "first seed of the -chaos sweep")
+		repChaos   = flag.Bool("replica-chaos", false, "run the replication chaos deck against the replicated enforcer")
+		all        = flag.Bool("all", false, "run every experiment")
+		budget     = flag.Int("budget", 0, "mutation budget per sample for fig8/fig9 (0 = full search)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for the fig8/fig9 sweep (1 = serial; results identical)")
+		telem      = flag.Bool("telemetry", false, "with -fig7: export pilot-study spans as JSONL")
+		spansPath  = flag.String("spans", "fig7_spans.jsonl", "span JSONL output path for -telemetry")
 	)
 	flag.Parse()
-	if !(*table1 || *fig7 || *fig8 || *fig9 || *verifyCost || *chaos > 0 || *repChaos || *all || *benchJSON != "" || *svcLoad || *scaleTiers) {
+	if !(*table1 || *fig7 || *fig8 || *fig9 || *verifyCost || *chaos > 0 || *repChaos || *all) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -127,59 +121,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(experiments.FormatReplicaChaos(s))
-		})
-	}
-	if *all || *svcLoad {
-		timed("service-load", func() {
-			rep, err := service.RunLoad(service.LoadConfig{
-				ServiceConfig:     service.Config{VerifyQueue: 4096},
-				Tenants:           *svcTenants,
-				SessionsPerTenant: *svcPer,
-				Reviews:           true,
-				Commits:           true,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(rep.String())
-			if *svcQueueP50 > 0 && rep.VerifyQueueP50Ms > *svcQueueP50 {
-				log.Fatalf("verify-queue wait p50 %.1fms exceeds the -assert-queue-p50 bound of %.1fms",
-					rep.VerifyQueueP50Ms, *svcQueueP50)
-			}
-		})
-	}
-	if *scaleTiers {
-		timed("scale-tiers", func() {
-			fmt.Print(experiments.FormatScaleTiers(experiments.RunScaleTiers()))
-		})
-	}
-	if *benchJSON != "" {
-		timed("bench", func() {
-			report := experiments.RunBench()
-			f, err := os.Create(*benchJSON)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := report.WriteJSON(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote benchmark trajectory to %s (fig8 serial %.2fs, derive-static %.0fx, derive-l2 %.0fx, spf-memo hit rate %.0f%%, service %.0f cmds/sec p99 %.1fms)\n",
-				*benchJSON, report.Figure8SerialSeconds, report.DeriveStaticSpeed,
-				report.DeriveL2Speed, 100*report.SPFMemoHitRate,
-				report.ServiceCmdsPerSec, report.ServiceP99Ms)
-			fmt.Printf("verify queue: wait p50 %.1fms p99 %.1fms, peak depth %d, %d of %d reviews deduped (%d cached + %d coalesced)\n",
-				report.ServiceVerifyQueueP50Ms, report.ServiceVerifyQueueP99Ms,
-				report.ServicePeakQueueDepth,
-				report.ServiceReviewCacheHits+report.ServiceReviewCoalesced,
-				report.ServiceReviews, report.ServiceReviewCacheHits, report.ServiceReviewCoalesced)
-			if k8, ok := report.ScaleTiers["fattree-k8"]; ok {
-				fmt.Printf("fattree-k8: %d devices, compute %.0fms, derive-l3topo %.0fx, bounded sweep %.1fs\n",
-					k8.Devices, k8.SnapshotComputeMs, k8.DeriveL3TopoSpeed, k8.SweepBoundedSeconds)
-			}
 		})
 	}
 	if *all || *verifyCost {

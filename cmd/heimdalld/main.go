@@ -27,6 +27,11 @@ import (
 	"heimdall/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled connection cannot hold a server goroutine
+// open indefinitely. Request bodies are bounded by size in the service.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:8787", "HTTP listen address")
@@ -58,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

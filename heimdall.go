@@ -395,17 +395,6 @@ var (
 	AuthzDigest = authz.Digest
 )
 
-// ConflictPolicy selects how the enforcer mediates racing tickets whose
-// change scopes overlap (Enforcer.Conflict): off, serialize, or reject.
-type ConflictPolicy = enforcer.ConflictPolicy
-
-// Conflict mediation policies.
-const (
-	MediateOff       = enforcer.MediateOff
-	MediateSerialize = enforcer.MediateSerialize
-	MediateReject    = enforcer.MediateReject
-)
-
 // ImportAuditTrail parses an exported audit trail and verifies it against
 // the trail key, rejecting any tampering.
 var ImportAuditTrail = audit.Import
@@ -529,18 +518,11 @@ type (
 	ServiceTenant = service.Tenant
 	// SessionInfo is the API-facing view of a technician session.
 	SessionInfo = service.Info
-	// ServiceLoadConfig sizes the scripted-technician load generator.
-	ServiceLoadConfig = service.LoadConfig
-	// ServiceLoadReport is the load generator's result.
-	ServiceLoadReport = service.LoadReport
 )
 
 var (
 	// NewService assembles a multi-tenant service.
 	NewService = service.New
-	// RunServiceLoad replays concurrent scripted technician sessions
-	// against a service and reports mediated throughput and latency.
-	RunServiceLoad = service.RunLoad
 	// BuiltinScenarioCatalog maps the built-in scenario names to their
 	// constructors for ServiceConfig.Catalog.
 	BuiltinScenarioCatalog = service.BuiltinCatalog

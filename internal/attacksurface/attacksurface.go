@@ -145,12 +145,6 @@ func (ev *Evaluator) spfMemo() *dataplane.SPFMemo {
 	return ev.memo
 }
 
-// SPFMemoStats returns the sweep's SPF-memo hit/miss counters — the
-// fraction of link-state passes the memo absorbed.
-func (ev *Evaluator) SPFMemoStats() (hits, misses uint64) {
-	return ev.spfMemo().Stats()
-}
-
 // InterfaceFaults enumerates the experiment's issues: for every up,
 // addressed interface on an infrastructure device, an interface-down fault
 // paired with the first host pair whose baseline traffic crosses that

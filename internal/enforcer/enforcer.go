@@ -74,13 +74,6 @@ type Enforcer struct {
 	// are refused unless CommitApproved carries approvals the policy
 	// verifies. Low-risk changes pass without approvals.
 	Auth *authz.Policy
-	// Conflict selects how commits whose scopes overlap mediate (default
-	// MediateOff). See mediate.go.
-	Conflict ConflictPolicy
-	// scopeMu guards reservations; scopeCond wakes serialized waiters.
-	scopeMu      sync.Mutex
-	scopeCond    *sync.Cond
-	reservations map[string]map[string]bool
 	// reviews, when enabled (EnableReviewCache), memoizes review verdicts
 	// by content: production version × privilege digest × change-set
 	// digest. prodVersion counts production mutations and is folded into
@@ -150,8 +143,7 @@ type Decision struct {
 }
 
 // Reason summarises why a decision rejected the change set. It is safe on
-// a nil decision (commit refused before review — quarantine, authorization,
-// conflict mediation).
+// a nil decision (commit refused before review — quarantine, authorization).
 func (d *Decision) Reason() string {
 	switch {
 	case d == nil:
@@ -383,12 +375,6 @@ func (e *Enforcer) Commit(prod *netmodel.Network, changes []config.Change, spec 
 // a group that cannot reach quorum aborts the commit with a journaled
 // rollback on every copy.
 func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval) (*Decision, error) {
-	release, err := e.reserveForCommit(prod, changes, spec)
-	if err != nil {
-		e.countCommit(false)
-		return nil, err
-	}
-	defer release()
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	if e.quarantined {

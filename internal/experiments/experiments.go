@@ -246,13 +246,6 @@ func TraceFigure7(runs []Figure7Run, start time.Time) *telemetry.Tracer {
 // sweep's parallelism (≤ 1 = serial); results are identical at any
 // worker count.
 func Figure89(scen *scenarios.Scenario, mutationBudget, workers int) []*attacksurface.Result {
-	results, _ := figure89Instrumented(scen, mutationBudget, workers)
-	return results
-}
-
-// figure89Instrumented is Figure89 returning the evaluator too, so the
-// bench harness can read its SPF-memo counters after the sweep.
-func figure89Instrumented(scen *scenarios.Scenario, mutationBudget, workers int) ([]*attacksurface.Result, *attacksurface.Evaluator) {
 	ev := &attacksurface.Evaluator{
 		Base:           scen.Network,
 		Policies:       scen.Policies,
@@ -267,7 +260,7 @@ func figure89Instrumented(scen *scenarios.Scenario, mutationBudget, workers int)
 		ev.Evaluate(attacksurface.All, cases),
 		ev.Evaluate(attacksurface.Neighbor, cases),
 		ev.Evaluate(attacksurface.Heimdall, cases),
-	}, ev
+	}
 }
 
 // FormatFigure89 renders the trade-off rows.

@@ -12,7 +12,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -353,41 +352,6 @@ func (s *ReplicaChaosSummary) Add(r ReplicaChaosResult) {
 	if r.Detected {
 		s.ByzantineDetected++
 	}
-}
-
-// QuorumCommitBench times fault-free quorum commits — intent proposal,
-// three replica votes, per-change fan-out, terminal-record mirror — on a
-// fresh three-replica group per commit, and returns (p50, p99) wall-clock
-// milliseconds.
-func QuorumCommitBench(commits int) (p50, p99 float64, err error) {
-	lat := make([]time.Duration, 0, commits)
-	for i := 0; i < commits; i++ {
-		n := ChaosNetwork()
-		platform := enclave.NewPlatformFromSeed("replica-bench")
-		encl := platform.Load("heimdall-enforcer-v1")
-		policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-		e := enforcer.New(encl, policies)
-		e.Retry = enforcer.RetryPolicy{Sleep: func(time.Duration) {}}
-		g, gerr := replica.NewGroup(n, e.Journal(), replica.Config{
-			Replicas: replicaNames,
-			Key:      e.JournalKey(),
-		})
-		if gerr != nil {
-			return 0, 0, gerr
-		}
-		e.SetTarget(g)
-		start := time.Now()
-		if _, cerr := e.Commit(n, chaosChanges(), chaosSpec()); cerr != nil {
-			return 0, 0, fmt.Errorf("bench commit %d: %w", i, cerr)
-		}
-		lat = append(lat, time.Since(start))
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	at := func(q float64) float64 {
-		idx := int(q * float64(len(lat)-1))
-		return float64(lat[idx].Nanoseconds()) / 1e6
-	}
-	return at(0.50), at(0.99), nil
 }
 
 // FormatReplicaChaos renders a replication sweep for the CLI.

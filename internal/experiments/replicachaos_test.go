@@ -3,6 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"heimdall/internal/dataplane"
+	"heimdall/internal/enclave"
+	"heimdall/internal/enforcer"
+	"heimdall/internal/replica"
+	"heimdall/internal/spec"
 )
 
 // TestReplicaChaosSuite runs the full Jepsen-style deck — the exhaustive
@@ -84,5 +91,30 @@ func TestReplicaChaosSweep(t *testing.T) {
 	out := FormatReplicaChaos(s)
 	if !strings.Contains(out, "lying replicas detected") {
 		t.Fatalf("report missing detection summary:\n%s", out)
+	}
+}
+
+// BenchmarkQuorumCommit times one fault-free quorum commit: intent
+// proposal, three replica votes, per-change fan-out and the terminal
+// mirror. Each commit gets a fresh three-replica group, built outside the
+// timer, so only Commit is measured.
+func BenchmarkQuorumCommit(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n := ChaosNetwork()
+		encl := enclave.NewPlatformFromSeed("replica-bench").Load("heimdall-enforcer-v1")
+		policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
+		e := enforcer.New(encl, policies)
+		e.Retry = enforcer.RetryPolicy{Sleep: func(time.Duration) {}}
+		g, err := replica.NewGroup(n, e.Journal(), replica.Config{Replicas: replicaNames, Key: e.JournalKey()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.SetTarget(g)
+		changes, sp := chaosChanges(), chaosSpec()
+		b.StartTimer()
+		if _, err := e.Commit(n, changes, sp); err != nil {
+			b.Fatalf("commit %d: %v", i, err)
+		}
 	}
 }

@@ -35,7 +35,8 @@ const TokenHeader = "X-Heimdall-Token"
 //
 // Errors map onto statuses: unknown tenant/session/ticket 404, duplicate
 // tenant 409, token mismatch 403, reference-monitor denial 403, expired
-// session 410, closed session 409, verify-queue overload 429.
+// session 410, closed session 409, request body over 1 MiB 413,
+// verify-queue overload 429.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -218,12 +219,22 @@ func writeDecision(w http.ResponseWriter, res ReviewResult, err error) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// maxBodyBytes bounds a request body. Every API body is a handful of
+// short fields, so anything near this size is a misbehaving client.
+const maxBodyBytes = 1 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

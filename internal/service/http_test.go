@@ -243,6 +243,16 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: status %d, want 400", resp.StatusCode)
 	}
+	// A body over the size limit is 413.
+	huge := `{"id":"` + strings.Repeat("a", maxBodyBytes) + `","scenario":"enterprise"}`
+	resp, err = srv.Client().Post(srv.URL+"/v1/tenants", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
 
 	// Expired session is 410.
 	var tk struct {

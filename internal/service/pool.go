@@ -37,9 +37,9 @@ type Pool struct {
 	peak      int
 	// waits records per-task queue wait (submit to dequeue), bounded so a
 	// long run cannot grow it without limit. Kept separate from the worker
-	// service time: conflating the two made the load generator's p99 read
-	// as "mediation got slow" when the truth was "the verify queue was
-	// deep" (queue wait is backlog, service time is enforcer cost).
+	// service time: conflating the two makes a p99 read as "mediation got
+	// slow" when the truth is "the verify queue was deep" (queue wait is
+	// backlog, service time is enforcer cost).
 	waits    []time.Duration
 	isClosed bool
 
@@ -265,7 +265,7 @@ func (p *Pool) DoShared(tenant, key string, fn func() any) (any, bool, error) {
 }
 
 // PeakDepth reports the highest total queue depth observed across all
-// tenant queues (the load generator's "enforcer queue depth" headline).
+// tenant queues (heimdallbench's pool.peak_depth).
 func (p *Pool) PeakDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

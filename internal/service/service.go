@@ -18,8 +18,7 @@
 //     state (the zero-trust policy-enforcement-point shape, applied to
 //     network mediation).
 //
-// The HTTP JSON API over this layer lives in http.go; the scripted
-// technician load generator in loadgen.go.
+// The HTTP JSON API over this layer lives in http.go.
 package service
 
 import (
@@ -169,8 +168,8 @@ func New(cfg Config) *Service {
 // Meter returns the service's meter.
 func (s *Service) Meter() telemetry.Meter { return s.meter }
 
-// Pool returns the shared verify pool (the load generator reads its
-// peak queue depth).
+// Pool returns the shared verify pool (heimdallbench reads its queue
+// waits and peak depth).
 func (s *Service) Pool() *Pool { return s.pool }
 
 // Close stops the verify pool. Sessions need no teardown beyond it.
@@ -625,7 +624,7 @@ func (s *Service) reviewOnPool(eng *core.Engagement) reviewOutcome {
 
 // ReviewStats reports how many reviews were served from the verdict
 // cache and how many coalesced onto an in-flight execution since the
-// service started (the load generator's cache-effectiveness headline).
+// service started.
 func (s *Service) ReviewStats() (cacheHits, coalesced int64) {
 	return s.reviewCacheHits.Load(), s.reviewCoalesced.Load()
 }
