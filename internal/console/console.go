@@ -51,7 +51,8 @@ type Command struct {
 
 // Env is what a command needs to execute: the network holding the target
 // device and a snapshot provider for read/diagnostic commands. After a
-// write, the console invalidates the snapshot via Invalidate.
+// write the console queues an incremental derivation of the snapshot, or
+// invalidates it via Invalidate when it cannot classify the write.
 type Env struct {
 	Net *netmodel.Network
 	// Snapshot returns the current dataplane snapshot, recomputing it
@@ -63,18 +64,15 @@ type Env struct {
 	// (heimdall_console_dispatch_total by action and write class).
 	Meter telemetry.Meter
 
-	// incremental, when set (EnableIncremental), records classified writes
-	// through noteChange so the next snapshot derives incrementally
-	// instead of recomputing from scratch.
-	incremental bool
-	noteChange  func(device string, kind dataplane.ChangeKind)
+	// noteChange records a classified write so the next snapshot derives
+	// incrementally instead of recomputing from scratch.
+	noteChange func(device string, kind dataplane.ChangeKind)
 }
 
 // noteWrite records one executed write: classified writes queue an
-// incremental derivation (when enabled), everything else pays the full
-// invalidation.
+// incremental derivation, everything else pays the full invalidation.
 func (e *Env) noteWrite(action, device string) {
-	if e.incremental && e.noteChange != nil {
+	if e.noteChange != nil {
 		if kind, ok := writeChangeKind(action); ok {
 			e.noteChange(device, kind)
 			return
@@ -85,9 +83,9 @@ func (e *Env) noteWrite(action, device string) {
 
 // writeChangeKind maps a console write action onto the narrowest dataplane
 // change class it can affect on its device (see dataplane.ChangeKind).
-// Interface edits are classed L3-topology without inspecting the port —
-// strictly more conservative than the enforcer's L2-only refinement, never
-// less. Unknown write actions report false and force a full recompute.
+// Interface edits are classed L3-topology without inspecting the port,
+// which is conservative for an L2-only port. Unknown write actions report
+// false and force a full recompute.
 func writeChangeKind(action string) (dataplane.ChangeKind, bool) {
 	switch action {
 	case "config.acl.add", "config.acl.remove":

@@ -9,8 +9,8 @@ import (
 )
 
 // TestIncrementalSnapshotOracle is the correctness oracle for the
-// incremental post-write derivation the twin enables: after every command
-// in a write-heavy script, the environment's snapshot must match a
+// incremental post-write derivation every environment runs: after every
+// command in a write-heavy script, the environment's snapshot must match a
 // from-scratch dataplane.Compute of the same network — routing state on
 // every device and end-to-end reachability included. The script mixes
 // classified writes (ACL, static route, interface, OSPF, VLAN), a write
@@ -19,7 +19,6 @@ import (
 func TestIncrementalSnapshotOracle(t *testing.T) {
 	n := testNet()
 	env := NewEnv(n)
-	env.EnableIncremental()
 	r1 := New("r1", env)
 
 	script := []string{
@@ -65,7 +64,6 @@ func TestIncrementalSnapshotOracle(t *testing.T) {
 func TestIncrementalSnapshotInvalidate(t *testing.T) {
 	n := testNet()
 	env := NewEnv(n)
-	env.EnableIncremental()
 	r1 := New("r1", env)
 
 	env.Snapshot() // warm the cache so writes queue derivations
@@ -107,7 +105,6 @@ func TestEnvFromBase(t *testing.T) {
 
 	n := orig.CloneCOW("r1")
 	env := NewEnvFrom(n, baseFn)
-	env.EnableIncremental()
 	if env.Snapshot() != base {
 		t.Fatal("first read did not serve the base snapshot")
 	}
@@ -119,7 +116,6 @@ func TestEnvFromBase(t *testing.T) {
 	// A write before any read still derives from the base.
 	n2 := orig.CloneCOW("r1")
 	env2 := NewEnvFrom(n2, baseFn)
-	env2.EnableIncremental()
 	if _, err := New("r1", env2).Run("interface Gi0/1 shutdown"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +123,6 @@ func TestEnvFromBase(t *testing.T) {
 
 	n3 := orig.CloneCOW("r1")
 	env3 := NewEnvFrom(n3, baseFn)
-	env3.EnableIncremental()
 	n3.Device("r1").Interface("Gi0/1").Shutdown = true
 	env3.Invalidate()
 	requireFresh(env3, n3, "Invalidate")

@@ -146,10 +146,13 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 }
 
 // NewEnv builds a command environment around a mutable network with a
-// lazily recomputed snapshot. With EnableIncremental, the post-write
-// snapshot derives from the previous one (dataplane.Derive) instead of
-// recomputing from scratch; writes the console cannot classify still
-// invalidate fully.
+// lazily computed snapshot. After a classified write the next snapshot
+// derives from the previous one (dataplane.Derive) instead of recomputing
+// from scratch; writes the console cannot classify, and Invalidate, drop
+// it. This is only sound while every mutation of the network goes through
+// the environment's consoles or is followed by Invalidate: an external
+// writer (the enforcer committing to production, a fault injection) would
+// leave the snapshot describing a network that no longer exists.
 func NewEnv(n *netmodel.Network) *Env { return NewEnvFrom(n, nil) }
 
 // NewEnvFrom is NewEnv for a network whose current state another party
@@ -186,13 +189,3 @@ func NewEnvFrom(n *netmodel.Network, base func() *dataplane.Snapshot) *Env {
 	}
 	return env
 }
-
-// EnableIncremental turns on incremental post-write snapshot derivation.
-// It is only sound when every mutation of the environment's network goes
-// through this console environment: an external writer (the enforcer
-// committing to production, a fault injection) would leave the derived
-// snapshot describing a network that no longer exists. The twin enables
-// it — technician consoles are the only writers of the emulation layer —
-// and it is what keeps the mediated-command tail flat when a diagnosis
-// script alternates writes with snapshot-hungry reads.
-func (e *Env) EnableIncremental() { e.incremental = true }

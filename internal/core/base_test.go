@@ -64,14 +64,13 @@ func requireCurrentBase(t *testing.T, sys *System, eng *Engagement, after string
 	}
 }
 
-// TestTwinBaseSharedPerProductionVersion pins the base cache's lifecycle
-// on a tracked system (review cache on, so every production mutation bumps
-// the enforcer's version): engagements started at one version share a
-// base, and a commit, an out-of-band mutation or an emergency write each
-// give the next engagement a fresh base that shows the change.
+// TestTwinBaseSharedPerProductionVersion pins the base cache's lifecycle:
+// engagements started at one production version share a base, and a
+// commit, an out-of-band mutation or an emergency write each bump the
+// enforcer's version and give the next engagement a fresh base that shows
+// the change.
 func TestTwinBaseSharedPerProductionVersion(t *testing.T) {
 	sys, issue := newFaultedSystem(t, "isp")
-	sys.Enforcer.EnableReviewCache(0)
 
 	e1 := startWork(t, sys, issue, "alice")
 	e2 := startWork(t, sys, issue, "bob")
@@ -131,32 +130,14 @@ func TestTwinBaseSharedPerProductionVersion(t *testing.T) {
 	}
 }
 
-// TestTwinBaseUntrackedIsPrivate pins the fallback: without the review
-// cache nothing promises that production mutations bump the enforcer's
-// version, so every engagement gets a private base.
-func TestTwinBaseUntrackedIsPrivate(t *testing.T) {
-	sys, issue := newFaultedSystem(t, "isp")
-	e1 := startWork(t, sys, issue, "alice")
-	e2 := startWork(t, sys, issue, "bob")
-	if e1.Twin.Baseline() == e2.Twin.Baseline() {
-		t.Fatal("untracked system shared a base between engagements")
-	}
-	// Mutate production behind the enforcer's back: the next engagement
-	// must still see it.
-	dev := issue.Fault.RootCause
-	sys.Production().Devices[dev].Interfaces[sys.Production().Devices[dev].InterfaceNames()[0]].Description = "patched"
-	requireCurrentBase(t, sys, startWork(t, sys, issue, "carol"), "an untracked mutation")
-}
-
-// TestTwinBaseConcurrentStartWork starts engagements on one tracked
-// system from many goroutines at once, each running its issue script
-// (reads and writes) in its twin: they must all share one base, and the
-// base must still equal a fresh sanitized image of production. Run it
-// under -race: the base cache, the base snapshot's once, the shared flow
-// cache and the derivations from the shared snapshot all race here.
+// TestTwinBaseConcurrentStartWork starts engagements on one system from
+// many goroutines at once, each running its issue script (reads and
+// writes) in its twin: they must all share one base, and the base must
+// still equal a fresh sanitized image of production. Run it under -race:
+// the base cache, the base snapshot's once, the shared flow cache and the
+// derivations from the shared snapshot all race here.
 func TestTwinBaseConcurrentStartWork(t *testing.T) {
 	sys, issue := newFaultedSystem(t, "isp")
-	sys.Enforcer.EnableReviewCache(0)
 	const n = 8
 	engs := make([]*Engagement, n)
 	var wg sync.WaitGroup

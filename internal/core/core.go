@@ -41,12 +41,6 @@ type Options struct {
 	// PlatformSeed makes the simulated TEE deterministic for tests; empty
 	// uses a random platform secret.
 	PlatformSeed string
-	// SliceStrategy selects the twin's presentation slice; the default is
-	// the paper's task-driven strategy.
-	SliceStrategy twin.SliceStrategy
-	// SliceStrategySet marks SliceStrategy as explicitly chosen (the zero
-	// value is the All strategy, which is a valid choice).
-	SliceStrategySet bool
 	// Meter receives telemetry from the whole mediation path (reference
 	// monitor, enforcer, verifier, audit trail). Nil means the no-op meter:
 	// zero-config deployments pay nothing.
@@ -59,7 +53,6 @@ type System struct {
 	production *netmodel.Network
 	policies   []verify.Policy
 	sensitive  map[string]bool
-	strategy   twin.SliceStrategy
 	meter      telemetry.Meter
 
 	Tickets  *ticket.System
@@ -69,8 +62,12 @@ type System struct {
 	// prodMu guards reads (twin construction, snapshots) against writes
 	// (commits, emergency changes) on the production network.
 	prodMu sync.RWMutex
-	// prodConsoleEnv backs emergency-mode consoles (lazily built).
-	prodConsoleEnv *console.Env
+	// prodEnvMu guards prodEnv, the console environment backing
+	// emergency-mode consoles while production is at version
+	// prodEnvVersion (see productionEnv).
+	prodEnvMu      sync.Mutex
+	prodEnv        *console.Env
+	prodEnvVersion uint64
 
 	// baseMu guards base, the sanitized twin base shared by every
 	// engagement started at production version baseVersion (see twinBase).
@@ -100,10 +97,6 @@ func NewSystem(opts Options) (*System, error) {
 			Sensitive: opts.Sensitive,
 		})
 	}
-	strategy := twin.SliceTaskDriven
-	if opts.SliceStrategySet {
-		strategy = opts.SliceStrategy
-	}
 	meter := opts.Meter
 	if meter == nil {
 		meter = telemetry.Nop()
@@ -115,7 +108,6 @@ func NewSystem(opts Options) (*System, error) {
 		production: opts.Network,
 		policies:   policies,
 		sensitive:  opts.Sensitive,
-		strategy:   strategy,
 		meter:      meter,
 		Tickets:    ticket.NewSystem(),
 		Enforcer:   enf,
@@ -186,7 +178,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	// The base differs from production only in redacted secrets, which
 	// no forwarding decision reads, so its snapshot serves the slice too.
 	base := s.twinBase()
-	slice := twin.ComputeSlice(base.Network(), base.Snapshot(), s.strategy, tk.SrcHost, tk.DstHost, tk.Suspects)
+	slice := twin.ComputeSlice(base.Network(), base.Snapshot(), twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string
 	for dev := range slice {
@@ -224,14 +216,10 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 
 // twinBase returns the twin base for production as it is now; the caller
 // holds prodMu. Engagements started at one production version share one
-// base, built on first use, never at onboarding. Reuse is sound only while
-// the enforcer sees every production mutation bump its version; otherwise
-// each call builds a private base.
+// base, built on first use, never at onboarding. Every production write
+// bumps the enforcer's version, which retires the base.
 func (s *System) twinBase() *twin.Base {
-	v, tracked := s.Enforcer.ProductionVersion()
-	if !tracked {
-		return twin.NewBase(s.production)
-	}
+	v := s.Enforcer.ProductionVersion()
 	s.baseMu.Lock()
 	defer s.baseMu.Unlock()
 	if s.base == nil || s.baseVersion != v {
@@ -333,7 +321,7 @@ func (e *Engagement) Review() (*enforcer.Decision, error) {
 
 // ReviewCached is Review plus the enforcer's cache-hit indicator: true
 // means the verdict was replayed from the content-addressed review cache
-// rather than recomputed (always false when the cache is disabled).
+// rather than recomputed.
 func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 	changes := e.Twin.Changes()
 	if len(changes) == 0 {

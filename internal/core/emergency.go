@@ -41,21 +41,24 @@ func (e *Engagement) EmergencyConsole(device string) (*EmergencySession, error) 
 	}
 	e.sys.Enforcer.Trail().Append(e.Ticket.ID, e.Ticket.Assignee, audit.KindSession,
 		"EMERGENCY console opened on "+device, true)
-	return &EmergencySession{eng: e, con: console.New(device, e.sys.prodEnv())}, nil
+	return &EmergencySession{eng: e, con: console.New(device, nil)}, nil
 }
 
-// prodEnv lazily builds the production console environment.
-func (s *System) prodEnv() *console.Env {
-	s.prodMu.Lock()
-	defer s.prodMu.Unlock()
-	if s.prodConsoleEnv == nil {
-		s.prodConsoleEnv = console.NewEnv(s.production)
+// productionEnv returns the console environment over production as it is
+// now; the caller holds prodMu and prodEnvMu. Like the twin base it is
+// keyed on the enforcer's production version, so a commit, an out-of-band
+// mutation or an emergency write retires it and no emergency console reads
+// a snapshot of a network that no longer exists.
+func (s *System) productionEnv() *console.Env {
+	if v := s.Enforcer.ProductionVersion(); s.prodEnv == nil || s.prodEnvVersion != v {
+		s.prodEnv, s.prodEnvVersion = console.NewEnv(s.production), v
 	}
-	return s.prodConsoleEnv
+	return s.prodEnv
 }
 
 // EmergencySession is a mediated, enforcer-guarded console on a production
-// device.
+// device. Its console only parses: commands execute on the environment for
+// production's current version (productionEnv).
 type EmergencySession struct {
 	eng *Engagement
 	con *console.Console
@@ -100,7 +103,11 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 		e.sys.prodMu.RLock()
 		defer e.sys.prodMu.RUnlock()
 	}
-	out, err := s.con.Execute(cmd)
+	// The environment's lazily built snapshot is not safe for concurrent
+	// readers, so emergency commands take turns on it.
+	e.sys.prodEnvMu.Lock()
+	defer e.sys.prodEnvMu.Unlock()
+	out, err := console.New(s.Device(), e.sys.productionEnv()).Execute(cmd)
 	if err != nil {
 		trail.Append(e.Ticket.ID, e.Ticket.Assignee, audit.KindCommand,
 			fmt.Sprintf("EMERGENCY [%s] %s failed: %v", s.Device(), line, err), true)

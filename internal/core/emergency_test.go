@@ -2,10 +2,13 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"heimdall/internal/audit"
+	"heimdall/internal/console"
 	"heimdall/internal/dataplane"
+	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 )
 
@@ -161,4 +164,104 @@ func TestEmergencyRepairNotBlockedByExistingOutage(t *testing.T) {
 
 func privilegeRule(action, resource string) privilege.Rule {
 	return privilege.Rule{Effect: privilege.AllowEffect, Action: action, Resource: resource}
+}
+
+// TestEmergencyConsoleSeesCommittedChanges pins that an emergency console
+// reads production as it is now: consoles opened before a commit through
+// the twin must show the committed routes afterwards, not the RIB they
+// computed before it.
+func TestEmergencyConsoleSeesCommittedChanges(t *testing.T) {
+	for _, name := range []string{"ospf", "isp"} {
+		t.Run(name, func(t *testing.T) {
+			sys, issue := newFaultedSystem(t, name)
+			watcher, err := sys.StartWork(fileIssue(sys, issue).ID, "bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			watcher.EnableEmergency("netadmin")
+			sessions := map[string]*EmergencySession{}
+			before := map[string]string{}
+			for dev := range watcher.Slice {
+				if sys.Production().Devices[dev].Kind == netmodel.Host {
+					continue
+				}
+				sess, err := watcher.EmergencyConsole(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if before[dev], err = sess.Exec("show ip route"); err != nil {
+					t.Fatalf("%s: %v", dev, err)
+				}
+				sessions[dev] = sess
+			}
+
+			fixer, err := sys.StartWork(fileIssue(sys, issue).ID, "alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fixer.RunScript(issue.Script); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fixer.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			changed := 0
+			for dev, sess := range sessions {
+				got, err := sess.Exec("show ip route")
+				if err != nil {
+					t.Fatalf("%s: %v", dev, err)
+				}
+				want, err := console.New(dev, console.NewEnv(sys.Production())).Run("show ip route")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s: emergency console shows a stale RIB after the commit:\n%s\nproduction:\n%s", dev, got, want)
+				}
+				if want != before[dev] {
+					changed++
+				}
+			}
+			if changed == 0 {
+				t.Fatal("the commit changed no RIB in the slice; the test checks nothing")
+			}
+		})
+	}
+}
+
+// TestEmergencyConsolesConcurrent runs emergency reads from several
+// goroutines while production is mutated out of band. Run it under -race:
+// the consoles share one production environment and its lazily built
+// snapshot, and the mutations retire that environment under them.
+func TestEmergencyConsolesConcurrent(t *testing.T) {
+	sys, issue := newFaultedSystem(t, "ospf")
+	eng, err := sys.StartWork(fileIssue(sys, issue).ID, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.EnableEmergency("netadmin")
+	var wg sync.WaitGroup
+	for _, dev := range []string{"r1", "r2", "r4", "r7"} {
+		sess, err := eng.EmergencyConsole(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, err := sess.Exec("show ip route"); err != nil {
+					t.Errorf("%s: %v", sess.Device(), err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		if err := sys.MutateProduction(issue.Fault.Inject); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

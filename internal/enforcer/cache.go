@@ -17,14 +17,15 @@ package enforcer
 // A cached hit is observably identical to a fresh review: it appends the
 // same audit-trail entry (message and outcome recorded alongside the
 // verdict), bumps the same review counters, and returns a decision whose
-// JSON serialization is byte-for-byte the fresh result, including the
-// ReportDeltas reachability diff. Only the verify-latency histogram is
-// skipped, so that metric keeps measuring real verifications.
+// JSON serialization is byte-for-byte the fresh result. Only the
+// verify-latency histogram is skipped, so that metric keeps measuring real
+// verifications.
 //
-// The cache is opt-in because Review takes the production network as a
-// parameter: callers that mutate networks behind the enforcer's back (the
-// chaos suites do, deliberately) must not enable it, or must route every
-// mutation through InvalidateReviews. The service layer does the latter.
+// The cache is always on. Review takes the production network as a
+// parameter, so whoever mutates that network outside the commit pipeline
+// must report it through InvalidateReviews; core.System does for every
+// production write it makes (MutateProduction, emergency writes). A
+// network reviewed under a different pointer never shares a key.
 
 import (
 	"fmt"
@@ -37,8 +38,7 @@ import (
 	"heimdall/internal/verify"
 )
 
-// defaultReviewCacheCap bounds retained verdicts when EnableReviewCache
-// is given no capacity. Entries are small (a Decision plus its trail
+// defaultReviewCacheCap bounds retained verdicts. Entries are small (a Decision plus its trail
 // line); the bound exists to stop a scripted load from growing the map
 // without limit across privilege-spec variants.
 const defaultReviewCacheCap = 256
@@ -62,9 +62,6 @@ type reviewCache struct {
 }
 
 func newReviewCache(capacity int) *reviewCache {
-	if capacity <= 0 {
-		capacity = defaultReviewCacheCap
-	}
 	return &reviewCache{cap: capacity, entries: make(map[string]reviewCacheEntry)}
 }
 
@@ -96,33 +93,21 @@ func (rc *reviewCache) clear() {
 	rc.order = nil
 }
 
-// EnableReviewCache turns on verdict memoization with the given capacity
-// (<= 0 means defaultReviewCacheCap). Enable it before the enforcer sees
-// concurrent reviews, and only when every production mutation is visible
-// to the enforcer (its own commit pipeline, or InvalidateReviews).
-func (e *Enforcer) EnableReviewCache(capacity int) {
-	e.reviews.Store(newReviewCache(capacity))
-}
-
 // InvalidateReviews discards every cached review verdict by bumping the
 // production version. Call it after mutating production outside the
 // enforcer's commit pipeline (maintenance edits, emergency sessions). The
 // commit pipeline calls it itself on every path that touches production.
 func (e *Enforcer) InvalidateReviews() {
 	e.prodVersion.Add(1)
-	if rc := e.reviews.Load(); rc != nil {
-		rc.clear()
-	}
+	e.reviews.clear()
 }
 
 // ProductionVersion returns the production-mutation counter folded into
-// every review key. tracked reports whether the counter can be trusted to
-// change on every production mutation: that holds exactly when the review
-// cache is enabled, whose precondition is that every mutation goes
-// through the commit pipeline or InvalidateReviews. Caches keyed on the
-// version (the shared twin base) must not be reused when tracked is false.
-func (e *Enforcer) ProductionVersion() (v uint64, tracked bool) {
-	return e.prodVersion.Load(), e.reviews.Load() != nil
+// every review key. Every production mutation goes through the commit
+// pipeline or InvalidateReviews, so other caches of production state (the
+// shared twin base, the emergency console environment) key on it too.
+func (e *Enforcer) ProductionVersion() uint64 {
+	return e.prodVersion.Load()
 }
 
 // ReviewKey returns the content address a review of (changes, spec) would
@@ -143,28 +128,19 @@ func (d *Decision) clone() *Decision {
 	c := *d
 	c.Unauthorized = append([]config.Change(nil), d.Unauthorized...)
 	c.Violations = append([]verify.Violation(nil), d.Violations...)
-	c.Deltas = append([]verify.Delta(nil), d.Deltas...)
 	return &c
 }
 
 // ReviewCached is Review plus a hit indicator: true means the verdict was
 // served from the cache (the audit trail and review counters are updated
-// identically either way). With the cache disabled it always computes and
-// reports false.
+// identically either way).
 func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
-	rc := e.reviews.Load()
-	if rc == nil {
-		d, msg, ok := e.reviewCompute(prod, changes, spec)
-		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
-		e.countReview(d.Accepted)
-		return d, false
-	}
 	// The network pointer joins the key so an enforcer reviewing against
 	// two different networks (tests do) never serves one's verdict for the
 	// other. The key is computed once, before the review: the version it
 	// captures is the one the verdict is valid for.
 	key := fmt.Sprintf("%p|%s", prod, e.ReviewKey(changes, spec))
-	if ent, hit := rc.get(key); hit {
+	if ent, hit := e.reviews.get(key); hit {
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, ent.trailMsg, ent.trailOK)
 		e.countReview(ent.decision.Accepted)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
@@ -174,6 +150,6 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
 	e.countReview(d.Accepted)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
-	rc.put(key, reviewCacheEntry{decision: d.clone(), trailMsg: msg, trailOK: ok})
+	e.reviews.put(key, reviewCacheEntry{decision: d.clone(), trailMsg: msg, trailOK: ok})
 	return d, false
 }

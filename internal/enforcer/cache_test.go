@@ -35,21 +35,11 @@ func maliciousPermit() config.Change {
 	}
 }
 
-// verifyDetails extracts the audit trail's verification entries.
-func verifyDetails(trail *audit.Trail) []string {
-	var out []string
-	for _, e := range trail.Entries() {
-		if e.Kind == audit.KindVerify {
-			out = append(out, e.Detail)
-		}
-	}
-	return out
-}
-
 // TestReviewCacheOracle is the acceptance oracle: a cached verdict must be
 // observably identical to a fresh review — same JSON serialization
-// (including the ReportDeltas reachability diff and violation traces),
-// same audit-trail entry — for both an accepting and a rejecting review.
+// (violation traces included), same audit-trail entry — for both an
+// accepting and a rejecting review. The reference is reviewCompute itself,
+// the review with no cache in front of it.
 func TestReviewCacheOracle(t *testing.T) {
 	for name, change := range map[string]config.Change{
 		"accepted": benignChange(15, 443),
@@ -62,14 +52,12 @@ func TestReviewCacheOracle(t *testing.T) {
 			spec := aclSpec()
 			changes := []config.Change{change}
 
-			// Fresh verdict with the cache disabled: the reference output.
-			dFresh, hit := e.ReviewCached(n, changes, spec)
-			if hit {
-				t.Fatal("hit with the cache disabled")
+			dRef, refMsg, refOK := e.reviewCompute(n, changes, spec)
+			ref := decisionJSON(t, dRef)
+			if refOK != dRef.Accepted {
+				t.Fatalf("reference trail outcome %v, decision accepted %v", refOK, dRef.Accepted)
 			}
-			ref := decisionJSON(t, dFresh)
 
-			e.EnableReviewCache(0)
 			d1, hit1 := e.ReviewCached(n, changes, spec)
 			d2, hit2 := e.ReviewCached(n, changes, spec)
 			if hit1 {
@@ -79,19 +67,26 @@ func TestReviewCacheOracle(t *testing.T) {
 				t.Fatal("second identical review missed the cache")
 			}
 			if got := decisionJSON(t, d1); got != ref {
-				t.Fatalf("cache-miss decision diverges from cacheless review:\nwant %s\ngot  %s", ref, got)
+				t.Fatalf("cache-miss decision diverges from uncached review:\nwant %s\ngot  %s", ref, got)
 			}
 			if got := decisionJSON(t, d2); got != ref {
-				t.Fatalf("cached decision diverges from fresh review:\nwant %s\ngot  %s", ref, got)
+				t.Fatalf("cached decision diverges from uncached review:\nwant %s\ngot  %s", ref, got)
 			}
 
-			// All three reviews logged the exact same trail entry.
-			details := verifyDetails(e.Trail())
-			if len(details) != 3 {
-				t.Fatalf("verify trail entries = %d, want 3", len(details))
+			// Miss and hit each logged the reference's exact trail entry.
+			var verifies []audit.Entry
+			for _, ent := range e.Trail().Entries() {
+				if ent.Kind == audit.KindVerify {
+					verifies = append(verifies, ent)
+				}
 			}
-			if details[0] != details[1] || details[1] != details[2] {
-				t.Fatalf("trail entries not replayed identically: %q", details)
+			if len(verifies) != 2 {
+				t.Fatalf("verify trail entries = %d, want 2", len(verifies))
+			}
+			for i, ent := range verifies {
+				if ent.Detail != refMsg || ent.Allowed != refOK {
+					t.Fatalf("trail entry %d = (%q, %v), want (%q, %v)", i, ent.Detail, ent.Allowed, refMsg, refOK)
+				}
 			}
 		})
 	}
@@ -103,7 +98,6 @@ func TestReviewCacheOracle(t *testing.T) {
 func TestReviewCacheInvalidatedByCommit(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(0)
 	spec := aclSpec()
 
 	ch := []config.Change{benignChange(15, 443)}
@@ -131,7 +125,6 @@ func TestReviewCacheInvalidatedByCommit(t *testing.T) {
 func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(0)
 	e.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond,
 		Sleep: func(time.Duration) {}}
 	spec := aclSpec()
@@ -173,7 +166,7 @@ func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 func TestReviewCacheConcurrent(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(8)
+	e.reviews = newReviewCache(8)
 	spec := aclSpec()
 
 	var wg sync.WaitGroup
@@ -208,7 +201,7 @@ func TestReviewCacheConcurrent(t *testing.T) {
 func TestReviewCacheEviction(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(2)
+	e.reviews = newReviewCache(2)
 	spec := aclSpec()
 
 	a := []config.Change{benignChange(15, 443)}

@@ -58,13 +58,6 @@ type Enforcer struct {
 	// commits are refused until Recover restores consistency.
 	quarantined bool
 	quarReason  string
-	// Incremental restricts verification to policies whose traffic could
-	// be affected by the changed devices (plus all isolation policies).
-	Incremental bool
-	// ReportDeltas adds a reachability what-if diff to every review: the
-	// host pairs whose connectivity the change set would flip. Off by
-	// default (it probes all pairs twice).
-	ReportDeltas bool
 	// Retry is the push retry/backoff policy; the zero value means the
 	// defaults (3 attempts, 50ms base backoff doubling to 1s, 5s per-op
 	// budget, seeded jitter).
@@ -74,12 +67,12 @@ type Enforcer struct {
 	// are refused unless CommitApproved carries approvals the policy
 	// verifies. Low-risk changes pass without approvals.
 	Auth *authz.Policy
-	// reviews, when enabled (EnableReviewCache), memoizes review verdicts
-	// by content: production version × privilege digest × change-set
-	// digest. prodVersion counts production mutations and is folded into
-	// every cache key, so a commit (or rollback, recovery, out-of-band
-	// mutation) invalidates all prior verdicts at once. See cache.go.
-	reviews     atomic.Pointer[reviewCache]
+	// reviews memoizes review verdicts by content: production version ×
+	// privilege digest × change-set digest. prodVersion counts production
+	// mutations and is folded into every cache key, so a commit (or
+	// rollback, recovery, out-of-band mutation) invalidates all prior
+	// verdicts at once. See cache.go.
+	reviews     *reviewCache
 	prodVersion atomic.Uint64
 }
 
@@ -93,6 +86,7 @@ func New(encl *enclave.Enclave, policies []verify.Policy) *Enforcer {
 		journal:  journal.New(encl.DeriveKey("commit-journal")),
 		policies: policies,
 		meter:    telemetry.Nop(),
+		reviews:  newReviewCache(defaultReviewCacheCap),
 	}
 }
 
@@ -137,9 +131,6 @@ type Decision struct {
 	Violations []verify.Violation
 	// Checked is how many policies were verified.
 	Checked int
-	// Deltas lists host pairs whose reachability the change set flips
-	// (populated when the enforcer's ReportDeltas is set).
-	Deltas []verify.Delta
 }
 
 // Reason summarises why a decision rejected the change set. It is safe on
@@ -158,10 +149,9 @@ func (d *Decision) Reason() string {
 }
 
 // Review checks a candidate change set against the Privilegemsp and the
-// network policies, without touching production. With the review cache
-// enabled (EnableReviewCache) a repeat of an already-reviewed change set
-// against the unchanged production snapshot replays the cached verdict;
-// callers who need to know use ReviewCached.
+// network policies, without touching production. A repeat of an
+// already-reviewed change set against unchanged production replays the
+// cached verdict; callers who need to know use ReviewCached.
 func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) *Decision {
 	d, _ := e.ReviewCached(prod, changes, spec)
 	return d
@@ -189,53 +179,20 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change
 	// only the devices the change set names are cloned (ApplyChanges never
 	// creates devices and only writes the named ones), the rest are shared
 	// read-only with production.
-	touched := make(map[string]bool)
-	for _, c := range changes {
-		touched[c.Device] = true
-	}
-	touchedList := make([]string, 0, len(touched))
-	for dev := range touched {
-		touchedList = append(touchedList, dev)
-	}
-	sort.Strings(touchedList)
-	shadow := prod.CloneCOW(touchedList...)
+	shadow := prod.CloneCOW(touchedDevices(changes)...)
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		d.Violations = append(d.Violations, verify.Violation{
 			Reason: fmt.Sprintf("changes do not apply cleanly: %v", err),
 		})
 		return d, "review rejected: changes do not apply", false
 	}
-	// Snapshots carry the enforcer's meter so their flow-cache hit/miss
-	// counters land in the same registry as the verifier metrics; the
-	// production snapshot is shared between the incremental policy scope
-	// and the delta report, whose flows largely overlap.
-	snapOpts := dataplane.Options{Meter: e.meter}
-	var prodSnap *dataplane.Snapshot
-	policies := e.policies
-	if e.Incremental || e.ReportDeltas {
-		prodSnap = dataplane.ComputeWithOptions(prod, snapOpts)
-	}
-	if e.Incremental {
-		policies = verify.AffectedBy(prodSnap, e.policies, touched)
-	}
-	// With a production snapshot in hand, the shadow snapshot derives from
-	// it — reusing everything the change set provably cannot invalidate —
-	// instead of recomputing the dataplane from scratch.
-	var shadowSnap *dataplane.Snapshot
-	if prodSnap != nil {
-		cs := make(dataplane.ChangeSet, 0, len(changes))
-		for _, c := range changes {
-			cs = append(cs, dataplane.Change{Device: c.Device, Kind: changeKindFor(prod, c)})
-		}
-		shadowSnap = prodSnap.Derive(shadow, cs)
-	} else {
-		shadowSnap = dataplane.ComputeWithOptions(shadow, snapOpts)
-	}
-	if e.ReportDeltas {
-		d.Deltas = verify.DiffReachability(prodSnap, shadowSnap, shadow, nil)
-	}
+	// The shadow snapshot carries the enforcer's meter so its flow-cache
+	// hit/miss counters land in the same registry as the verifier metrics.
+	// Every policy is checked: a routing change off a policy's path (a
+	// more-specific route hijacking its destination) can still break it.
+	shadowSnap := dataplane.ComputeWithOptions(shadow, dataplane.Options{Meter: e.meter})
 	verifyStart := time.Now()
-	res := verify.CheckMetered(shadowSnap, policies, e.meter)
+	res := verify.CheckMetered(shadowSnap, e.policies, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
@@ -243,50 +200,6 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change
 	d.Accepted = len(d.Violations) == 0
 	return d, fmt.Sprintf("review: %d changes, %d policies checked, %d violations",
 		len(changes), d.Checked, len(d.Violations)), d.Accepted
-}
-
-// changeKindFor maps a configuration op onto the narrowest dataplane
-// change class it can affect, for snapshot derivation. VLAN ops only edit
-// the switching fabric. Interface ops are L2-class when the interface is
-// L2-only (access/trunk or unaddressed, never an SVI) both before and
-// after the change, and L3-topology otherwise — every config op is
-// confined to its named device, so the conservative full-recompute class
-// is reserved for ops the switch doesn't recognize.
-func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind {
-	switch c.Op {
-	case config.OpAddACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL:
-		return dataplane.ChangeACL
-	case config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway:
-		return dataplane.ChangeStatic
-	case config.OpSetOSPF, config.OpRemoveOSPF:
-		return dataplane.ChangeOSPF
-	case config.OpSetBGP, config.OpRemoveBGP:
-		return dataplane.ChangeBGP
-	case config.OpSetVLAN, config.OpRemoveVLAN:
-		return dataplane.ChangeL2
-	case config.OpAddInterface, config.OpSetInterface:
-		if netmodel.InterfaceL2Only(c.Interface) && priorInterfaceL2Only(prod, c) {
-			return dataplane.ChangeL2
-		}
-		return dataplane.ChangeL3Topology
-	default:
-		return dataplane.ChangeTopology
-	}
-}
-
-// priorInterfaceL2Only reports whether the interface a change replaces was
-// absent or L2-only in production — replacing an addressed routed port is
-// an L3 change even when its replacement is L2-only.
-func priorInterfaceL2Only(prod *netmodel.Network, c config.Change) bool {
-	if c.Interface == nil {
-		return false
-	}
-	d := prod.Devices[c.Device]
-	if d == nil {
-		return false
-	}
-	old := d.Interface(c.Interface.Name)
-	return old == nil || netmodel.InterfaceL2Only(old)
 }
 
 // countReview records one review outcome.

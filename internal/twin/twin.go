@@ -140,14 +140,12 @@ func New(cfg Config) (*Twin, error) {
 		trail:      cfg.Trail,
 		meter:      meter,
 	}
-	tw.env = console.NewEnvFrom(tw.emul, base.Snapshot)
 	// Technician consoles are the emulation layer's only writers (Exec
-	// serializes under tw.mu), so post-write snapshots can derive
-	// incrementally from the previous one — at first the base's shared
-	// snapshot — instead of recomputing the dataplane from scratch, the
-	// dominant cost of diagnosis scripts that alternate fixes with
-	// reachability checks.
-	tw.env.EnableIncremental()
+	// serializes under tw.mu), so post-write snapshots derive incrementally
+	// from the previous one — at first the base's shared snapshot — instead
+	// of recomputing the dataplane from scratch, the dominant cost of
+	// diagnosis scripts that alternate fixes with reachability checks.
+	tw.env = console.NewEnvFrom(tw.emul, base.Snapshot)
 	if cfg.Meter != nil {
 		tw.env.Meter = cfg.Meter
 	}

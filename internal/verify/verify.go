@@ -220,8 +220,12 @@ func CheckPolicy(s *dataplane.Snapshot, p Policy) *Violation {
 }
 
 // AffectedBy returns the subset of policies whose src->dst traffic traverses
-// any of the named devices in the baseline snapshot. The enforcer uses this
-// to verify only impacted policies when incremental verification is enabled.
+// any of the named devices in the baseline snapshot, plus every isolation
+// policy and every policy whose flow is not delivered. The attack-surface
+// sweep scopes its per-device trials with it. It is not a sound scope for
+// an arbitrary change set: an address originated off the path (a /32 on
+// another router's loopback) can still attract a policy's traffic, so the
+// enforcer checks every policy.
 func AffectedBy(s *dataplane.Snapshot, policies []Policy, devices map[string]bool) []Policy {
 	var out []Policy
 	for _, p := range policies {
